@@ -17,7 +17,6 @@ import numpy as np
 from ..obs.int_telemetry import DECISION_TRIM, REASON_LINK_IMPAIRMENT, hop_id
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..packet import arena as _arena
 from ..packet.packet import Packet
 from .queues import ByteQueue, PriorityQueue
 from .simulator import Simulator
@@ -414,7 +413,6 @@ class Link:
                     flow_id=packet.flow_id,
                     seq=packet.seq,
                 )
-            _arena._ARENA.release_transient(packet)
             self._try_transmit()
             return
         delivered: Optional[Packet] = packet
@@ -432,7 +430,6 @@ class Link:
                         flow_id=packet.flow_id,
                         seq=packet.seq,
                     )
-                _arena._ARENA.release_transient(packet)
             elif (
                 self.trim_prob > 0.0
                 and packet.trimmable_bytes() is not None
@@ -457,16 +454,9 @@ class Link:
                         flow_id=packet.flow_id,
                         seq=packet.seq,
                     )
-                # The un-pooled trim twin travels on; a transient
-                # original (filler/control) is dead here.
-                _arena._ARENA.release_transient(packet)
         if delivered is not None:
             deliveries: List[Tuple[float, Packet]] = [(0.0, delivered)]
             if self.delivery_hook is not None:
-                # A hook may duplicate (deliver the same object twice),
-                # hold, or mutate the packet — detach it from any arena
-                # so no sink can recycle an object with pending aliases.
-                delivered._pool = None
                 deliveries = self.delivery_hook(delivered)
             for extra_delay, final in deliveries:
                 self._sched_call(

@@ -24,7 +24,6 @@ from ..collectives.channel import GradientChannel
 from ..core.codec import GradientCodec, nmse
 from ..core.packetizer import decode_packets, packetize
 from ..net.topology import Network
-from ..packet import arena as _arena
 from ..obs.spans import get_span_tracer
 from ..obs.trace import get_tracer
 from ..transport.base import TransportSurrender
@@ -119,17 +118,20 @@ class NetworkChannel(GradientChannel):
             enc, src=self.src, dst=self.dst, mtu=self.mtu, flow_id=flow_id
         )
 
-        delivered: List[List] = []
+        start = net.sim.now
+        # (fct, wire) pairs, timed when the receiver completes the message.
+        delivered: List[tuple] = []
         surrendered: List[TransportSurrender] = []
         sender = TrimmingSender(
             net.hosts[self.src], flow_id=flow_id, cc=self.make_cc()
         )
         if self.max_retries is not None:
             sender.max_retries = self.max_retries
-        TrimmingReceiver(
-            net.hosts[self.dst], flow_id=flow_id, on_message=delivered.append
+        receiver = TrimmingReceiver(
+            net.hosts[self.dst],
+            flow_id=flow_id,
+            on_message=lambda wire: delivered.append((net.sim.now - start, wire)),
         )
-        start = net.sim.now
         st = get_span_tracer()
         span = st.begin(
             "channel.transfer",
@@ -142,33 +144,34 @@ class NetworkChannel(GradientChannel):
         with st.context(span):
             sender.send_message(packets, on_failure=surrendered.append)
         net.sim.run(until=start + self.deadline_s)
+        # The fabric turns into cyclic garbage once this method returns;
+        # let go of the message packets (and the encoded buffer their
+        # payloads view) now instead of whenever the cyclic GC runs.
+        sender.release_packets()
+        receiver.release_packets()
         if not delivered:
             self.stats.messages += 1
             self.stats.coordinates += flat.size
             if surrendered:
                 st.end(span, t=net.sim.now, outcome="surrendered")
                 if self.degraded_step:
-                    # Degraded step: this network never runs again, so
-                    # the transfer owner recycles its message packets.
-                    _arena._ARENA.release_all(packets)
                     return self._degrade(
                         flat, surrendered[0].reason, epoch, message_id, worker
                     )
                 raise surrendered[0]
             st.end(span, t=net.sim.now, outcome="deadline")
             if self.degraded_step:
-                _arena._ARENA.release_all(packets)
                 return self._degrade(flat, "deadline", epoch, message_id, worker)
             raise RuntimeError(
                 f"gradient transfer (epoch {epoch}, message {message_id}, "
                 f"worker {worker}) missed its {self.deadline_s}s deadline"
             )
-        wire = delivered[0]
+        fct, wire = delivered.pop()
         decoded = decode_packets(wire, self.codec)
 
         data_packets = [p for p in wire if p.grad_header and not p.grad_header.is_metadata]
         trimmed = sum(1 for p in data_packets if p.is_trimmed)
-        self.fcts.append(net.sim.now - start)
+        self.fcts.append(fct)
         self.last_trim_fraction = trimmed / max(1, len(data_packets))
         st.end(
             span,
@@ -193,12 +196,6 @@ class NetworkChannel(GradientChannel):
                 trim_fraction=self.last_trim_fraction,
                 nmse=float(nmse(flat, decoded)),
             )
-        # Transfer decoded and accounted: the channel owns the transfer,
-        # so every message packet goes back to the arena.  The sender's
-        # retransmit list and the delivered wire list overlap (trim
-        # remnants are un-pooled twins) — release_all dedups by identity.
-        _arena._ARENA.release_all(packets)
-        _arena._ARENA.release_all(wire)
         return decoded
 
     @property

@@ -21,7 +21,6 @@ from typing import Any, Callable, Dict, List, Optional
 from ..net.host import Host
 from ..obs.int_telemetry import get_int_collector
 from ..obs.metrics import get_registry
-from ..packet import arena as _arena
 from ..packet.packet import Packet
 from .base import MessageSenderBase
 
@@ -153,6 +152,14 @@ class TrimmingReceiver:
         """Received packets in sequence order."""
         return [self._received[seq] for seq in sorted(self._received)]
 
+    def release_packets(self) -> None:
+        """Forget the received packets once their transfer is over.
+
+        Only for an owner whose network never runs again: a receiver
+        that keeps listening needs the map to recognise late duplicates.
+        """
+        self._received = {}
+
     def _on_packet(self, packet: Packet) -> None:
         if packet.is_ack:
             return
@@ -200,9 +207,8 @@ class TrimmingReceiver:
     ) -> None:
         if self._peer is None:
             return
-        # Transient-kind: recycled by the sender's dispatch once read.
         self.host.send(
-            _arena._ARENA.acquire(
+            Packet(
                 src=self.host.name,
                 dst=self._peer,
                 is_ack=True,

@@ -1,5 +1,7 @@
 """End-to-end: DDP training whose gradients cross the packet simulator."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.collectives import AllReduceHook
 from repro.core import RHTCodec, nmse
 from repro.net import IncastBurst, dumbbell
 from repro.nn import make_dataset
-from repro.packet import SingleLevelTrim
+from repro.packet import Packet, SingleLevelTrim
 from repro.train import DDPTrainer, NetworkChannel, TrainConfig
 
 
@@ -44,6 +46,12 @@ class TestNetworkChannelTransfer:
         assert nmse(x, out) < 1e-12
         assert channel.last_trim_fraction == 0.0
         assert len(channel.fcts) == 1
+        # The FCT is the delivery time, not the simulated deadline the
+        # channel runs the network to: a shorter deadline leaves it as is.
+        assert 0 < channel.fcts[0] < channel.deadline_s
+        short = NetworkChannel(clean_network, codec, "tx0", "rx0", deadline_s=0.5)
+        short.transfer(x, epoch=1, message_id=1)
+        assert short.fcts == channel.fcts
 
     def test_congested_network_trims_but_delivers(self):
         codec = RHTCodec(root_seed=1, row_size=4096)
@@ -53,6 +61,38 @@ class TestNetworkChannelTransfer:
         assert channel.last_trim_fraction > 0.0
         assert channel.stats.packets_trimmed > 0
         assert nmse(x, out) < 0.6  # trimmed coords decoded, not lost
+
+    @pytest.mark.parametrize("surrender", [False, True])
+    def test_transfer_leaves_no_packets_in_cyclic_garbage(self, surrender):
+        """The per-transfer fabric becomes cyclic garbage, but the message
+        packets (and the encoded buffer they view) must not ride in it."""
+
+        def surrendering_network():
+            net = congested_network()
+            net.set_impairment("s0", "s1", drop_prob=1.0)
+            return net
+
+        codec = RHTCodec(root_seed=1, row_size=4096)
+        channel = NetworkChannel(
+            surrendering_network if surrender else congested_network,
+            codec, "tx0", "rx0", degraded_step=True, max_retries=2,
+        )
+        x = np.random.default_rng(1).standard_normal(60_000)
+        flags = gc.get_debug()
+        gc.collect()
+        gc.garbage.clear()
+        try:
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            channel.transfer(x, epoch=1, message_id=1)
+            gc.collect()
+            leaked = [obj for obj in gc.garbage if isinstance(obj, Packet)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert channel.stats.rounds_surrendered == int(surrender)
+        if not surrender:
+            assert channel.stats.packets_trimmed > 0
+        assert leaked == []
 
     def test_deadline_enforced(self):
         codec = RHTCodec(root_seed=1, row_size=1024)
