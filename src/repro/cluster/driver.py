@@ -2,22 +2,22 @@
 
 :class:`ClusterDriver` runs N :class:`~repro.train.ddp.DDPTrainer` jobs
 *concurrently* on a single simulated fat-tree (or leaf–spine) while
-background tenants load the same links.  Concurrency is wave-ordered and
-fully deterministic:
+background tenants load the same links.  Concurrency is wave-ordered,
+runs on the caller's thread and is fully deterministic:
 
-* each job trains on its own thread, but a thread only ever runs between
-  two barriers — it parks inside its :class:`FabricHook` the moment a
-  round's gradients are encoded and packetized;
-* the driver waits until **every** live job is parked, then launches all
-  parked transfers at the same simulation instant on the shared network
-  (per-flow ECMP spreads them across the fabric), runs the event loop
-  until they reach terminal state or the deadline, and releases the jobs
-  in fixed order.
+* each job is a :meth:`~repro.train.ddp.DDPTrainer.steps` generator; the
+  driver advances every live job, in fixed job order, to its round's
+  communication point, where :meth:`ClusterDriver.submit` has the job's
+  :class:`FabricHook` encode and packetize the gradients;
+* it then launches all those transfers at the same simulation instant
+  on the shared network (per-flow ECMP spreads them across the fabric),
+  runs the event loop until they reach terminal state or the deadline,
+  and resumes the jobs in the same order — each decodes what arrived,
+  aggregates and steps its optimizer.
 
-Because only the driver thread ever touches the simulator, and job
-threads compute on private state between barriers, a ``(scenario,
-seed)`` pair always produces byte-identical reports — the property the
-isolation regression tests pin down.
+Because every step runs in that fixed order, a ``(scenario, seed)`` pair
+always produces byte-identical reports, trace events and spans — the
+property the isolation regression tests pin down.
 
 Attribution: every switch gets a ``flow_classifier`` that buckets trim
 and drop verdicts by flow-id range — jobs own blocks above
@@ -28,7 +28,6 @@ can say *whose* packets the fabric cut.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -160,28 +159,21 @@ class _Transfer:
 
 @dataclass
 class _WaveRequest:
-    """Everything a parked job hands the driver for one round."""
+    """Everything a job hands the driver for one round."""
 
     job_index: int
-    epoch: int
     transfers: List[_Transfer]
     wave_end_s: float = 0.0
 
 
 @dataclass
 class _JobRuntime:
-    """Driver-side state for one job thread."""
+    """Driver-side state for one job."""
 
     spec: JobSpec
     placement: JobPlacement
     trainer: Any
     hook: "FabricHook"
-    thread: Optional[threading.Thread] = None
-    request: Optional[_WaveRequest] = None
-    parked: threading.Event = field(default_factory=threading.Event)
-    released: threading.Event = field(default_factory=threading.Event)
-    finished: bool = False
-    error: Optional[BaseException] = None
     fcts: List[float] = field(default_factory=list)
 
 
@@ -195,6 +187,9 @@ class FabricHook(CommHook):
     surrenders or misses the wave deadline contributes a zero gradient
     (a degraded step), which is what keeps a job alive when a tenant
     storms the core.
+
+    :meth:`stage` encodes and packetizes before the driver's wave;
+    :meth:`aggregate` decodes what it delivered.
     """
 
     def __init__(
@@ -222,6 +217,8 @@ class FabricHook(CommHook):
         self._residuals: Dict[int, np.ndarray] = {}
         self._ef_input_sum: Dict[int, np.ndarray] = {}
         self._ef_delivered_sum: Dict[int, np.ndarray] = {}
+        #: The round :meth:`stage` prepared, with its per-worker EF carries.
+        self._staged: Optional[Tuple[_WaveRequest, List[np.ndarray]]] = None
 
     def _flow_id(self, worker: int) -> int:
         # Fresh ids every wave so a packet straggling past the deadline
@@ -230,7 +227,8 @@ class FabricHook(CommHook):
         workers = len(self.driver.runtimes[self.job_index].placement.workers)
         return base + (self.waves * workers + worker) % JOB_FLOW_BLOCK
 
-    def _aggregate(self, grads: List[np.ndarray], epoch: int) -> np.ndarray:
+    def stage(self, grads: List[np.ndarray], epoch: int) -> _WaveRequest:
+        """Encode and packetize one round's gradients for the next wave."""
         message_id = self.next_message_id()
         placement = self.driver.runtimes[self.job_index].placement
         flats = [np.asarray(g, dtype=np.float64) for g in grads]
@@ -262,15 +260,20 @@ class FabricHook(CommHook):
                     ),
                 )
             )
-        request = _WaveRequest(
-            job_index=self.job_index, epoch=epoch, transfers=transfers
-        )
-        self.driver.submit(self.job_index, request)
+        request = _WaveRequest(job_index=self.job_index, transfers=transfers)
+        self._staged = (request, carries)
+        return request
+
+    def _aggregate(self, grads: List[np.ndarray], epoch: int) -> np.ndarray:
+        if self._staged is None:
+            raise RuntimeError("FabricHook aggregates only rounds the driver staged")
+        (request, carries), self._staged = self._staged, None
+        flats = [np.asarray(g, dtype=np.float64) for g in grads]
         self.waves += 1
         self.wave_log.append((epoch, request.wave_end_s))
 
         received: List[np.ndarray] = []
-        for worker, (transfer, flat) in enumerate(zip(transfers, flats)):
+        for worker, (transfer, flat) in enumerate(zip(request.transfers, flats)):
             self.stats.messages += 1
             self.stats.coordinates += flat.size
             if transfer.wire is None:
@@ -499,13 +502,11 @@ class ClusterDriver:
 
     # -- wave engine ------------------------------------------------------------
 
-    def submit(self, job_index: int, request: _WaveRequest) -> None:
-        """Called from a job thread: park until the driver ran the wave."""
-        runtime = self.runtimes[job_index]
-        runtime.request = request
-        runtime.parked.set()
-        runtime.released.wait()
-        runtime.released.clear()
+    def submit(
+        self, job_index: int, grads: List[np.ndarray], epoch: int
+    ) -> _WaveRequest:
+        """Enter one job's round into the next wave."""
+        return self.runtimes[job_index].hook.stage(grads, epoch)
 
     def _execute_wave(self, requests: List[_WaveRequest]) -> None:
         sim = self.net.sim
@@ -569,47 +570,21 @@ class ClusterDriver:
         self._ran = True
         for tenant in self.tenants:
             tenant.install()
-
-        def job_body(runtime: _JobRuntime) -> None:
-            try:
-                runtime.trainer.train()
-            except BaseException as error:  # surfaced after join
-                runtime.error = error
-            finally:
-                runtime.finished = True
-                runtime.parked.set()
-
-        for runtime in self.runtimes:
-            runtime.thread = threading.Thread(
-                target=job_body, args=(runtime,), daemon=True
-            )
-            runtime.thread.start()
-
-        while True:
+        jobs = {i: runtime.trainer.steps() for i, runtime in enumerate(self.runtimes)}
+        while jobs:
+            # Resume every live job in fixed order: it finishes its last
+            # round and runs to its next one's communication point.
             requests: List[_WaveRequest] = []
-            waiting: List[_JobRuntime] = []
-            for runtime in self.runtimes:
-                if runtime.finished and runtime.request is None:
-                    continue
-                runtime.parked.wait()
-                runtime.parked.clear()
-                if runtime.request is not None:
-                    requests.append(runtime.request)
-                    waiting.append(runtime)
-            if not requests:
-                break
-            self._execute_wave(requests)
-            for runtime in waiting:
-                runtime.request = None
-                runtime.released.set()
-        for runtime in self.runtimes:
-            assert runtime.thread is not None
-            runtime.thread.join()
+            for index, steps in list(jobs.items()):
+                point = next(steps, None)
+                if point is None:
+                    del jobs[index]
+                else:
+                    requests.append(self.submit(index, *point))
+            if requests:
+                self._execute_wave(requests)
         for tenant in self.tenants:
             tenant.stop()
-        for runtime in self.runtimes:
-            if runtime.error is not None:
-                raise runtime.error
         return self.report()
 
     # -- reporting --------------------------------------------------------------

@@ -22,10 +22,9 @@ Number = Union[int, float]
 class _GradMode(threading.local):
     """Per-thread tape-recording switch.
 
-    Thread-local, not a module global: the cluster driver trains
-    concurrent jobs on their own threads, and one job evaluating under
-    :class:`no_grad` must not stop another job's forward pass from
-    recording its tape.
+    Thread-local, not a module global: a caller may train models on
+    threads of its own, and one evaluating under :class:`no_grad` must
+    not stop another thread's forward pass from recording its tape.
     """
 
     enabled = True

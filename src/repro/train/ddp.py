@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -378,8 +379,11 @@ class DDPTrainer:
             membership.readmit(rank)
             self._epoch_rejoins += 1
 
-    def _round(self, batches, epoch: int, now_s: float = 0.0) -> float:
-        """Forward/backward per worker, aggregate, step.  Returns loss."""
+    def _round(
+        self, batches, epoch: int, now_s: float = 0.0
+    ) -> Generator[Tuple[List[np.ndarray], int], None, float]:
+        """Forward/backward per worker, yield ``(grads, epoch)``, then
+        aggregate and step.  Returns loss."""
         round_start = time.perf_counter()
         times: Optional[Dict[int, float]] = None
         if self.resilience is not None:
@@ -405,6 +409,8 @@ class DDPTrainer:
             loss.backward()
             grads.append(self.model.flat_gradient())
             losses.append(loss.item())
+        # The communication point, outside every span context.
+        yield grads, epoch
         surrendered_before = self.hook.stats.rounds_surrendered
         # Root of the causal span tree; timed on the *modeled* clock so
         # span JSONL is byte-identical across same-seed runs.
@@ -496,7 +502,22 @@ class DDPTrainer:
         any restored from a checkpoint) without recording a partial
         epoch — the crash-at-round-R half of the resume test.  Calling
         :meth:`train` again (or restoring a checkpoint first) continues
-        exactly where the run stopped.
+        exactly where the run stopped.  Drives :meth:`steps` to the end.
+        """
+        # maxlen=0 drops each round's gradients as soon as they are yielded.
+        deque(self.steps(epochs, max_rounds), maxlen=0)
+        return self.history
+
+    def steps(
+        self, epochs: Optional[int] = None, max_rounds: Optional[int] = None
+    ) -> Iterator[Tuple[List[np.ndarray], int]]:
+        """:meth:`train`'s loop, paused at each round's communication point.
+
+        Yields ``(grads, epoch)`` once per round, after the per-worker
+        backward passes and before ``self.hook`` aggregates them;
+        resuming aggregates, steps and runs on to the next yield.  A
+        caller driving several trainers works in between (the cluster
+        driver runs one fabric wave for all its jobs).
         """
         epochs = epochs if epochs is not None else self.config.epochs
         round_time = self._epoch_round_time()
@@ -526,13 +547,13 @@ class DDPTrainer:
                     self._epoch_start_wall
                     + len(self._epoch_losses) * round_time.total_s
                 )
-                loss = self._round(batches, epoch=epoch, now_s=now_s)
+                loss = yield from self._round(batches, epoch=epoch, now_s=now_s)
                 self._epoch_losses.append(loss)
                 if not np.isfinite(loss) or loss > self.divergence_loss:
                     diverged = True
                     break
                 if max_rounds is not None and self._rounds_run >= max_rounds:
-                    return self.history
+                    return
             rounds_this_epoch = len(self._epoch_losses)
             self._wall_clock = (
                 self._epoch_start_wall + rounds_this_epoch * round_time.total_s
@@ -582,7 +603,6 @@ class DDPTrainer:
                 break
             self.scheduler.step()
             epoch += 1
-        return self.history
 
     # -- checkpoint / resume ---------------------------------------------------
 

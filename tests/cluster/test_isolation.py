@@ -9,6 +9,8 @@ Two anchors:
   trim fractions within a tolerance band, both finishing training.
 """
 
+import json
+
 import pytest
 
 from repro.cluster import ClusterDriver, ClusterScenario, JobSpec, TenantSpec
@@ -16,6 +18,8 @@ from repro.collectives.hooks import AllReduceHook
 from repro.core.codec import codec_by_name
 from repro.nn.data import make_dataset
 from repro.nn.models import MLP
+from repro.obs.spans import SpanTracer, set_span_tracer
+from repro.obs.trace import Tracer, set_tracer
 from repro.train.ddp import DDPTrainer, TrainConfig
 from repro.train.trim_channel import TrimChannel
 
@@ -138,6 +142,57 @@ class TestDeterminism:
         report_a = ClusterDriver(_contended_scenario(), seed=9).run()
         report_b = ClusterDriver(_contended_scenario(), seed=10).run()
         assert report_a != report_b
+
+    @staticmethod
+    def _traced_run(seed: int):
+        """(span dicts, trace events without wall-clock fields) of one run."""
+        tracer, span_tracer = Tracer(enabled=True), SpanTracer(enabled=True)
+        previous = set_tracer(tracer), set_span_tracer(span_tracer)
+        try:
+            ClusterDriver(_contended_scenario(), seed=seed).run()
+        finally:
+            set_tracer(previous[0])
+            set_span_tracer(previous[1])
+        events = []
+        for event in tracer.events:
+            record = event.to_json()
+            record.pop("wall_time")
+            record.pop("duration_s", None)
+            events.append(json.dumps(record, sort_keys=True))
+        return [s.to_json() for s in span_tracer.spans], events, span_tracer
+
+    def test_same_seed_obs_streams_are_equal(self):
+        spans_a, events_a, span_tracer = self._traced_run(9)
+        spans_b, events_b, _ = self._traced_run(9)
+        assert spans_a and events_a
+        assert spans_a == spans_b
+        assert events_a == events_b
+        rounds = span_tracer.by_name("train.round")
+        assert len(rounds) == 2 * 2 * 8  # jobs x epochs x rounds per epoch
+        for round_span in rounds:
+            assert round_span.parent_id is None
+            children = span_tracer.children(round_span.span_id)
+            assert [c.name for c in children] == ["collective.aggregate"]
+
+
+class TestFailingJob:
+    def test_job_error_propagates_out_of_run(self, monkeypatch):
+        driver = ClusterDriver(_contended_scenario(), seed=SEED)
+        codec = driver.runtimes[1].hook.codec
+        encode = codec.encode
+        calls = []
+        boom = RuntimeError("encoder blew up")
+
+        def failing_encode(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise boom
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(codec, "encode", failing_encode)
+        with pytest.raises(RuntimeError) as raised:
+            driver.run()
+        assert raised.value is boom
 
 
 class TestScenarioSpec:

@@ -52,7 +52,8 @@ class TestDDPEquivalence:
         ddp_model = MLP(192, [16], 8, seed=3)
         trainer = DDPTrainer(ddp_model, train, test, world_size=2, config=cfg)
         batches = [next(iter(loader)) for loader in trainer.loaders]
-        trainer._round(batches, epoch=1)
+        for _ in trainer._round(batches, epoch=1):  # a generator: run it out
+            pass
 
         solo_model = MLP(192, [16], 8, seed=3)
         opt = SGD(solo_model.parameters(), lr=0.1, momentum=cfg.momentum)
